@@ -17,8 +17,8 @@ Everything is integer or Fraction arithmetic end to end.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from math import floor
 
 from .certificate import Certificate
@@ -28,6 +28,7 @@ from .intpoly import (ALL_INTEGERS, IntPoly, integer_solutions_of_abs_eq,
                       isolate_real_roots, positive_for_all_integers_geq)
 from .model import (EXTREMAL_GAP_DENOMINATOR, PairEncoding, corner_map,
                     corner_map_polynomials, gram_det)
+from .parallel import parallel_map
 
 # --- candidate enumeration ----------------------------------------------
 
@@ -92,14 +93,8 @@ def domination_records(candidates=None, target=None, start=6, workers=1):
         candidates = gen_domination_candidates()
     if target is None:
         target = EXTREMAL_GAP_DENOMINATOR
-    if workers <= 1:
-        return tuple(_domination_one(pre, target, start) for pre in candidates)
     jobs = [(chunk, target.coeffs, start) for chunk in _chunks(candidates, workers * 4)]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_domination_chunk, jobs):
-            out.extend(part)
-    return tuple(out)
+    return tuple(chain.from_iterable(parallel_map(_domination_chunk, jobs, workers)))
 
 
 def certify_domination(candidates=None, target=None, start=6, workers=1) -> Certificate:
@@ -201,16 +196,9 @@ def search_optimal_encodings(candidates=None, start=6, g_first=False, workers=1)
     if candidates is None:
         candidates = gen_search_candidates()
     target = EXTREMAL_GAP_DENOMINATOR
-    if workers <= 1:
-        return tuple(pre for pre in candidates
-                     if _search_one(pre, target, start, g_first))
     jobs = [(chunk, target.coeffs, start, g_first)
             for chunk in _chunks(candidates, workers * 4)]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_search_chunk, jobs):
-            out.extend(part)
-    return tuple(out)
+    return tuple(chain.from_iterable(parallel_map(_search_chunk, jobs, workers)))
 
 
 def certify_optimal_search(candidates=None, start=6, workers=1) -> Certificate:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from .bruteforce import (DEFAULT_BUDGET, POINT_SEGMENT, POINT_TRIANGLE,
                          SEGMENT_SEGMENT, BudgetExceededError, eps_bruteforce,
@@ -77,10 +78,27 @@ def pair_str(pair) -> str:
     return " | ".join(simplex_str(s) for s in pair)
 
 
+def write_atomically(path: str, text: str) -> None:
+    """Replace the file at `path` with `text` in one step: write a
+    temporary file beside it, then rename it over the target.  A failed
+    write leaves the target as it was and removes the temporary file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".latticegap-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_atomically(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -352,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--classes", nargs="+", choices=_CLASSES)
     sp.add_argument("--reduce", action="store_true",
-                    help="restrict one side to canonical orbit representatives")
+                    help="same result, less work: in the square, scan only "
+                         "canonical orbit representatives of the points; in "
+                         "the cube, run the exact search over the pair "
+                         "encoding instead of the scan")
     _add_run_options(sp)
 
     sp = sub.add_parser("certify", help="run the certificate pipeline")

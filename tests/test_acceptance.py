@@ -36,7 +36,8 @@ from latticegap import (
     verify_small_k_formula,
 )
 from latticegap.geometry import sq_dist_segment_segment, vdot, vsub
-from test_bruteforce import GOLDEN_WITNESSES
+from latticegap.bruteforce import POINT_TRIANGLE, SEGMENT_SEGMENT
+from test_bruteforce import GOLDEN_WITNESSES, vertex_tuples
 from test_certify import OPTIMAL_PATTERNS
 
 
@@ -233,6 +234,24 @@ def test_distance_kernel_against_grid_oracle():
     report(True, "distance-kernel-oracle",
            f"{checked} segment pairs within grid-oracle slack, "
            f"{zero_iff} pairs exact on zero-iff-intersecting")
+
+
+@pytest.mark.parametrize("classes", [
+    None, (SEGMENT_SEGMENT,), (POINT_TRIANGLE,)],
+    ids=["both", "segments", "point-triangle"])
+def test_reduced_search_matches_the_scan(cube_scans, classes):
+    details = []
+    ok = True
+    for k in (1, 2, 3):
+        full = cube_scans[k] if classes is None else eps_bruteforce(3, k, classes)
+        red = eps_bruteforce(3, k, classes, reduced=True)
+        same = (red.eps_squared == full.eps_squared
+                and vertex_tuples(red) == vertex_tuples(full))
+        ok = ok and same
+        details.append(f"k={k} {red.eps_squared} "
+                       f"{'same witnesses' if same else 'MISMATCH'}")
+    report(ok, f"reduced-search[{classes[0] if classes else 'both'}]",
+           "; ".join(details))
 
 
 def test_scan_witnesses_match_the_golden_figures(cube_scans):

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, and the pair-file parser."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from latticegap.cli import (
     structured_parse,
     structured_serialize,
     surd_str,
+    write_atomically,
 )
 
 PAIR_FILE = "3 4\n4 2 1\n0 3 4\n\n0 0 0\n3 4 4\n"
@@ -132,6 +134,40 @@ class TestEpsCommand:
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
         assert exc.value.code == 2
+
+
+class TestAtomicOutput:
+    OLD = b"format: latticegap/1\nstatus: complete\n"
+
+    def test_replaces_the_file(self, tmp_path, capsys):
+        out_path = tmp_path / "report.txt"
+        out_path.write_bytes(self.OLD)
+        code, _, _ = run(["eps", "--d", "2", "--k", "2", "--format",
+                          "structured", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert as_dict(structured_parse(out_path.read_text()))["eps_squared"] == "1/5"
+        assert os.listdir(tmp_path) == ["report.txt"]
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
+        out_path = tmp_path / "report.txt"
+        out_path.write_bytes(self.OLD)
+        with pytest.raises(UnicodeEncodeError):
+            write_atomically(str(out_path), "half a report \ud800")
+        assert out_path.read_bytes() == self.OLD
+        assert os.listdir(tmp_path) == ["report.txt"]
+
+    def test_a_failed_rename_leaves_the_old_file(self, tmp_path, monkeypatch):
+        out_path = tmp_path / "report.txt"
+        out_path.write_bytes(self.OLD)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_atomically(str(out_path), "a whole new report\n")
+        assert out_path.read_bytes() == self.OLD
+        assert os.listdir(tmp_path) == ["report.txt"]
 
 
 class TestCertifyCommand:
